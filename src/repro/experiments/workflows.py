@@ -26,7 +26,7 @@ from repro.pipeline import (
     DEFAULT_EPS,
     SynthesisCache,
     SynthesizedCircuit,
-    best_preset_lowering,
+    preset_lowerings,
     synthesize_lowered,
 )
 
@@ -47,7 +47,7 @@ __all__ = [
 
 def best_transpile(circuit: Circuit, basis: str) -> Circuit:
     """Pick the transpile preset with fewest rotations (Section 3.4)."""
-    return best_preset_lowering(circuit, basis)
+    return min(preset_lowerings(circuit, basis), key=rotation_count)
 
 
 def synthesize_circuit_trasyn(

@@ -11,14 +11,19 @@ compiler service:
   (:class:`SetLayout`, :class:`RouteToTarget`, :class:`FixDirections`)
   targeting a :class:`repro.target.Target`,
 * :func:`preset_pipeline` — the paper's optimization levels 0-3 plus
-  the DAG-pass level 4, for both target IRs as ready-made pipelines,
+  the DAG-pass level 4, for both target IRs as ready-made pipelines;
+  :func:`preset_lowerings` runs the presets an optimization level
+  selects (the whole grid for ``'best'``),
 * :class:`SynthesisCache` — a thread-safe LRU of synthesized rotations
   with JSON persistence; attach a :class:`DiskSynthesisStore`
   (:mod:`repro.pipeline.store`) and it becomes the L1 of a two-tier,
   cross-process hierarchy with epsilon-band reuse,
 * :func:`compile_circuit` / :func:`compile_batch` — the end-to-end
-  transpile→synthesize flow, parallel over circuits on threads or
-  (``workers='process'``) a true process pool sharing the disk store,
+  transpile→synthesize flow: one loop over route variants × preset
+  lowerings, ranked before synthesis for ``objective='count'`` (whose
+  routing ``cost_aware`` pins) and after it for ``'depth'``/``'esp'``;
+  parallel over circuits on threads or (``workers='process'``) a true
+  process pool sharing the disk store,
 * :mod:`repro.pipeline.warm` — the offline Rz catalog precompiler
   (``python -m repro.pipeline.warm`` / CLI ``warm-cache``) that ships
   warm segments for cold starts.
@@ -63,7 +68,6 @@ from repro.pipeline.passes import (
     DAGPass,
     DagOptimize,
     DecomposeToRzBasis,
-    EstimateESP,
     FixDirections,
     FoldPhases,
     FunctionPass,
@@ -75,15 +79,14 @@ from repro.pipeline.passes import (
     PassMetrics,
     PipelineResult,
     RouteToTarget,
-    SchedulePass,
     SetLayout,
     SnapTrivialRotations,
 )
 from repro.pipeline.presets import (
     BASES,
     OPTIMIZATION_LEVELS,
-    best_preset_lowering,
     iter_presets,
+    preset_lowerings,
     preset_pipeline,
 )
 
@@ -95,7 +98,6 @@ __all__ = [
     "EPS_BANDS_PER_DECADE",
     "StoreStats",
     "band_eps",
-    "best_preset_lowering",
     "bucket_eps",
     "default_num_processes",
     "eps_band",
@@ -108,7 +110,6 @@ __all__ = [
     "DagOptimize",
     "DEFAULT_EPS",
     "DecomposeToRzBasis",
-    "EstimateESP",
     "FixDirections",
     "FoldPhases",
     "FunctionPass",
@@ -122,7 +123,6 @@ __all__ = [
     "PassMetrics",
     "PipelineResult",
     "RouteToTarget",
-    "SchedulePass",
     "SetLayout",
     "SnapTrivialRotations",
     "SynthesisCache",
@@ -133,6 +133,7 @@ __all__ = [
     "key_rz",
     "key_u3",
     "map_parallel",
+    "preset_lowerings",
     "preset_pipeline",
     "rng_for_key",
     "synthesize_lowered",

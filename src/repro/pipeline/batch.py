@@ -1,11 +1,12 @@
 """Circuit-level compilation on top of the pass pipeline and cache.
 
 :func:`compile_circuit` is the full transpile→synthesize flow of paper
-Figure 3(a) as one call: lower through a preset :class:`PassManager`
-(or the best-of-grid search of Section 3.4), then replace every
-nontrivial rotation with a Clifford+T word via the shared
-:class:`SynthesisCache`.  :func:`compile_batch` runs many circuits
-through it on a ``concurrent.futures`` thread pool — or, with
+Figure 3(a) as one call: one loop over the target's route variants and
+the preset lowerings of each
+(:func:`repro.pipeline.presets.preset_lowerings`), ranked by the
+objective, with every nontrivial rotation replaced by a Clifford+T word
+via the shared :class:`SynthesisCache`.  :func:`compile_batch` runs
+many circuits through it on a ``concurrent.futures`` thread pool — or, with
 ``workers='process'``, on a true process pool whose workers share the
 on-disk segment store (``cache_dir=``) for cross-process reuse.
 
@@ -31,17 +32,13 @@ from repro.circuits import (
     Circuit,
     clifford_count,
     is_trivial_angle,
+    rotation_count,
     t_count,
     t_depth,
 )
 from repro.circuits.circuit import Gate
 from repro.pipeline.cache import SynthesisCache, bucket_eps, key_rz, key_u3
-from repro.pipeline.passes import PassManager
-from repro.pipeline.presets import (
-    best_preset_lowering,
-    iter_presets,
-    preset_pipeline,
-)
+from repro.pipeline.presets import OPTIMIZATION_LEVELS, preset_lowerings
 from repro.synthesis import GateSequence
 
 DEFAULT_EPS = 0.007  # the paper's RQ3 per-rotation threshold
@@ -282,27 +279,6 @@ def synthesize_lowered(
     )
 
 
-def _lower(
-    circuit: Circuit,
-    basis: str,
-    optimization_level: int | str,
-    commutation: bool | None,
-    pipeline: PassManager | None,
-    validate: str = "off",
-) -> Circuit:
-    if pipeline is not None:
-        # An explicit pipeline carries its own validate setting.
-        return pipeline.run(circuit)
-    if optimization_level == "best":
-        return best_preset_lowering(
-            circuit, basis, commutation, validate=validate
-        )
-    pm = preset_pipeline(
-        basis, int(optimization_level), bool(commutation), validate=validate
-    )
-    return pm.run(circuit)
-
-
 def _route_to_target(circuit: Circuit, target, layout, cost_aware=None):
     """Layout + route + direction-fix: ``(RoutingResult, fixed circuit)``."""
     from repro.circuits import depth, two_qubit_depth
@@ -340,15 +316,13 @@ def _routing_variants(target, layout, objective):
     return variants
 
 
-def _variant_score(objective: str, result: SynthesizedCircuit, target):
-    """Ranking key (lower is better) for one compiled variant."""
+def _variant_score(objective: str, result: SynthesizedCircuit):
+    """Ranking key (lower is better) of a synthesized depth/esp variant."""
     if objective == "esp":
         esp = result.esp if result.esp is not None else 1.0
         return (-esp, result.makespan or 0.0, result.n_rotations)
-    if objective == "depth":
-        return (result.makespan or 0.0, result.n_rotations,
-                len(result.circuit.gates))
-    return (result.n_rotations, len(result.circuit.gates))
+    return (result.makespan or 0.0, result.n_rotations,
+            len(result.circuit.gates))
 
 
 def compile_circuit(
@@ -359,8 +333,6 @@ def compile_circuit(
     seed: int = 0,
     optimization_level: int | str = "best",
     commutation: bool | None = None,
-    pipeline: PassManager | None = None,
-    pre_transpiled: bool = False,
     target=None,
     layout="dense",
     objective: str = "count",
@@ -382,8 +354,6 @@ def compile_circuit(
     commutation:
         Pin the commutation pass on/off; ``None`` means "off" for fixed
         levels and "search both" for ``'best'``.
-    pipeline:
-        Explicit :class:`PassManager` overriding the preset choice.
     target:
         A :class:`repro.target.Target`; when given, the circuit is laid
         out (``layout``), SABRE-routed, and direction-fixed before
@@ -392,13 +362,15 @@ def compile_circuit(
         depths) as ``result.routing`` plus the timed schedule and ESP
         prediction of the final circuit.
     objective:
-        What the preset×target variant grid is ranked by: ``'count'``
-        (fewest nontrivial rotations, the historical behavior and
-        paper Section 3.4), ``'depth'`` (shortest timed schedule
-        under the target's gate durations), or ``'esp'`` (highest
-        predicted success probability under the target's calibration —
-        the search additionally tries the cost-aware routing variants
-        and synthesizes every candidate through the shared cache).
+        What the route×preset variant grid is ranked by.  ``'count'``
+        (fewest nontrivial rotations, paper Section 3.4) ranks the
+        lowerings *before* synthesis and synthesizes only the winner.
+        ``'depth'`` (shortest timed schedule under the target's gate
+        durations) and ``'esp'`` (highest predicted success probability
+        under the target's calibration) synthesize every variant
+        through the shared cache and rank the results; they also route
+        the cost-aware and alternate-layout variants of
+        :func:`_routing_variants`.
     eps_budget:
         Circuit-level accuracy budget replacing the flat per-rotation
         ``eps``: :func:`repro.synthesis.allocate_eps_budget` splits it
@@ -406,16 +378,16 @@ def compile_circuit(
         criticality, and the allocation is recorded on
         ``result.eps_allocation``.
     cost_aware:
-        Error-aware routing tie-breaks for the single-variant path
-        (see :func:`repro.target.route_dag`; ``None`` auto-enables on
+        Error-aware routing tie-breaks for ``objective='count'`` (see
+        :func:`repro.target.route_dag`; ``None`` auto-enables on
         per-edge-calibrated targets).  Pass ``False`` to pin the
         error-agnostic router, e.g. as an experimental baseline.  The
-        objective grid explores both settings regardless.
+        ``'depth'``/``'esp'`` grids explore both settings regardless.
     validate:
         ``"off"``/``"structural"``/``"full"`` contract verification of
         every compilation stage (see
         :class:`repro.pipeline.PassManager`): the lowering pipeline
-        runs under a :class:`repro.analysis.ContractChecker`, the
+        runs under a :class:`repro.analysis.ContractChecker`, each
         routed circuit and the final Clifford+T output are verified
         with :func:`repro.analysis.verify_compiled`, and at ``"full"``
         the attached schedule is checked for per-qubit overlap.
@@ -438,6 +410,15 @@ def compile_circuit(
         raise ValueError(
             "objective='esp' needs a target (its calibration defines the "
             "success probability being maximized)"
+        )
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    if optimization_level != "best" and (
+        optimization_level not in OPTIMIZATION_LEVELS
+    ):
+        raise ValueError(
+            f"optimization_level must be 0-4 or 'best', "
+            f"got {optimization_level!r}"
         )
     basis = _WORKFLOW_BASIS[workflow]
     start = time.monotonic()
@@ -480,68 +461,33 @@ def compile_circuit(
                 check_schedule(result.schedule)
         return result
 
-    single_variant = (
-        objective == "count"
-        or pre_transpiled
-        or pipeline is not None
-    )
-    if single_variant:
-        routing = None
-        work = circuit
-        if target is not None and not pre_transpiled:
-            routing, work = _route_to_target(
-                circuit, target, layout, cost_aware
-            )
+    # One variant loop: every route × lowering the knobs select.  The
+    # error-agnostic route of ``layout`` is always first in the grid,
+    # so a depth/esp winner is never worse than that baseline.
+    if target is None:
+        route_grid = [None]
+    elif objective == "count":
+        route_grid = [(layout, cost_aware)]
+    else:
+        route_grid = _routing_variants(target, layout, objective)
+    results: list[SynthesizedCircuit] = []
+    for route_variant in route_grid:
+        routing, work = None, circuit
+        if route_variant is not None:
+            routing, work = _route_to_target(circuit, target, *route_variant)
             if validate != "off":
                 from repro.analysis import verify_compiled
 
                 verify_compiled(work, target, level=validate)
-        lowered = work if pre_transpiled else _lower(
-            work, basis, optimization_level, commutation, pipeline,
-            validate=validate,
+        lowerings = preset_lowerings(
+            work, basis, optimization_level, commutation, validate=validate
         )
-        result = synth(lowered, routing)
-    else:
-        # Objective-driven search: every routing variant × lowering
-        # preset is synthesized (the shared cache de-duplicates the
-        # rotation work) and ranked by the objective's score.  The
-        # error-agnostic dense route + every preset is always in the
-        # grid, so the winner is never worse than the baseline.
-        candidates: list[tuple[tuple, SynthesizedCircuit]] = []
-        route_grid = (
-            _routing_variants(target, layout, objective)
-            if target is not None
-            else [None]
-        )
-        for route_variant in route_grid:
-            if route_variant is None:
-                routing, work = None, circuit
-            else:
-                variant_layout, cost_aware = route_variant
-                routing, work = _route_to_target(
-                    circuit, target, variant_layout, cost_aware
-                )
-            if optimization_level == "best":
-                lowerings = [
-                    pm.run(work)
-                    for _, comm, pm in iter_presets(basis, validate=validate)
-                    if commutation is None or comm == commutation
-                ]
-            else:
-                pm = preset_pipeline(
-                    basis, int(optimization_level), bool(commutation),
-                    validate=validate,
-                )
-                lowerings = [pm.run(work)]
-            for lowered in lowerings:
-                result = synth(lowered, routing)
-                candidates.append(
-                    (_variant_score(objective, result, target), result)
-                )
-        if not candidates:
-            raise RuntimeError("objective search produced no candidate")
-        candidates.sort(key=lambda c: c[0])
-        result = candidates[0][1]
+        if objective == "count":
+            # Rank before synthesis (first fewest-rotations lowering
+            # wins), so the count objective synthesizes exactly once.
+            lowerings = [min(lowerings, key=rotation_count)]
+        results.extend(synth(lowered, routing) for lowered in lowerings)
+    result = min(results, key=lambda r: _variant_score(objective, r))
     result.wall_time = time.monotonic() - start
     return result
 
@@ -647,7 +593,6 @@ def compile_batch(
     max_workers: int | None = None,
     optimization_level: int | str = "best",
     commutation: bool | None = None,
-    pipeline: PassManager | None = None,
     target=None,
     layout="dense",
     objective: str = "count",
@@ -700,26 +645,19 @@ def compile_batch(
         cache_dir = getattr(cache.store, "root", None)
     start = time.monotonic()
 
+    kwargs = dict(
+        workflow=workflow, eps=eps, seed=seed,
+        optimization_level=optimization_level, commutation=commutation,
+        target=target, layout=layout, objective=objective,
+        eps_budget=eps_budget, validate=validate,
+    )
     if n_processes is not None and len(circuits) > 1:
         results = _compile_batch_processes(
-            circuits, n_processes, cache, cache_dir,
-            dict(
-                workflow=workflow, eps=eps, seed=seed,
-                optimization_level=optimization_level,
-                commutation=commutation, pipeline=pipeline, target=target,
-                layout=layout, objective=objective, eps_budget=eps_budget,
-                validate=validate,
-            ),
+            circuits, n_processes, cache, cache_dir, kwargs
         )
     else:
         def job(circuit: Circuit) -> SynthesizedCircuit:
-            return compile_circuit(
-                circuit, workflow=workflow, eps=eps, cache=cache, seed=seed,
-                optimization_level=optimization_level,
-                commutation=commutation, pipeline=pipeline, target=target,
-                layout=layout, objective=objective, eps_budget=eps_budget,
-                validate=validate,
-            )
+            return compile_circuit(circuit, cache=cache, **kwargs)
 
         serial = 1 if n_processes is not None else max_workers
         results = map_parallel(job, circuits, serial)

@@ -238,63 +238,6 @@ class FixDirections(Pass):
         return fixed
 
 
-class SchedulePass(Pass):
-    """Analysis pass: attach an ASAP/ALAP timed schedule.
-
-    The circuit flows through unchanged; the computed
-    :class:`repro.schedule.Schedule` is kept on the pass instance as
-    ``self.schedule`` (an analysis pass in the Qiskit property-set
-    sense, without a property set).  Durations come from the target's
-    calibration, falling back to arity defaults.
-    """
-
-    name = "schedule"
-
-    def __init__(self, target=None, method: str = "asap",
-                 durations=None):
-        self.target = target
-        self.method = method
-        self.durations = durations
-        self.schedule = None
-
-    def run(self, circuit: Circuit) -> Circuit:
-        from repro.schedule import schedule_circuit
-
-        self.schedule = schedule_circuit(
-            circuit, self.target, self.durations, method=self.method
-        )
-        return circuit
-
-
-class EstimateESP(Pass):
-    """Analysis pass: predict the circuit's success probability.
-
-    Stores the :class:`repro.target.EspEstimate` on ``self.estimate``
-    (and the underlying ASAP schedule on ``self.schedule``); the
-    circuit itself is untouched.
-    """
-
-    name = "estimate_esp"
-
-    def __init__(self, target, durations=None):
-        if target is None:
-            raise ValueError("ESP estimation needs a target")
-        self.target = target
-        self.durations = durations
-        self.schedule = None
-        self.estimate = None
-
-    def run(self, circuit: Circuit) -> Circuit:
-        from repro.schedule import schedule_circuit
-        from repro.target.cost import estimate_esp
-
-        self.schedule = schedule_circuit(circuit, self.target, self.durations)
-        self.estimate = estimate_esp(
-            circuit, self.target, schedule=self.schedule
-        )
-        return circuit
-
-
 class DAGPass(Pass):
     """A rewrite running natively on the dependency IR.
 

@@ -9,13 +9,20 @@ DAG fixpoint (cancel inverses / merge rotations / fold phases) of
 :mod:`repro.optimizers.dag_passes`.
 :func:`repro.transpiler.transpile` itself now delegates here, so the
 presets *are* the reference lowering semantics.
+
+:func:`preset_lowerings` is the only code that searches the preset
+grid: ``compile_circuit`` ranks its output (fewest rotations before
+synthesis for ``objective='count'``, the synthesized variants for
+``'depth'``/``'esp'``) and
+:func:`repro.experiments.workflows.best_transpile` keeps its
+fewest-rotations member.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.circuits import Circuit, rotation_count
+from repro.circuits import Circuit
 from repro.pipeline.passes import (
     CancelInversePairs,
     CommuteRotations,
@@ -111,11 +118,7 @@ def preset_pipeline(
 def iter_presets(
     basis: str, validate: str = "off"
 ) -> Iterator[tuple[int, bool, PassManager]]:
-    """All (level, commutation, pipeline) presets for one target basis.
-
-    This is the grid :func:`repro.experiments.workflows.best_transpile`
-    searches to pick the fewest-rotations lowering (Section 3.4).
-    """
+    """All (level, commutation, pipeline) presets for one target basis."""
     for level in OPTIMIZATION_LEVELS:
         for commutation in (False, True):
             yield level, commutation, preset_pipeline(
@@ -123,45 +126,28 @@ def iter_presets(
             )
 
 
-def best_preset_lowering(
+def preset_lowerings(
     circuit: Circuit,
     basis: str,
+    optimization_level: int | str = "best",
     commutation: bool | None = None,
-    target=None,
-    layout="dense",
     validate: str = "off",
-) -> Circuit:
-    """Fewest-rotations lowering over the preset grid (Section 3.4).
+) -> list[Circuit]:
+    """Every lowering of ``circuit`` the preset knobs select, in grid order.
 
-    The single implementation behind both
-    :func:`repro.experiments.workflows.best_transpile` and
-    ``compile_circuit(optimization_level='best')``.  ``commutation``
-    pins the commutation pass on/off; ``None`` searches both.
-
-    With a ``target``, the circuit is laid out, routed, and
-    direction-fixed *once* up front (routing is deterministic and
-    independent of the preset knobs), then the grid searches lowerings
-    of the routed circuit.
+    ``optimization_level`` 0-4 selects one preset; ``'best'`` runs the
+    whole :func:`iter_presets` grid.  ``commutation`` pins the
+    commutation pass on/off; ``None`` means "off" for a fixed level and
+    "both" for ``'best'``.  The fewest-rotations lowering of paper
+    Section 3.4 is ``min(preset_lowerings(...), key=rotation_count)``.
     """
-    if target is not None:
-        from repro.target import fix_gate_directions, route_circuit
-
-        routed = route_circuit(circuit, target, layout=layout)
-        circuit, _ = fix_gate_directions(routed.circuit, target)
-        if validate != "off":
-            from repro.analysis.contracts import verify_compiled
-
-            verify_compiled(circuit, target, level=validate)
-    best: tuple[int, Circuit] | None = None
-    for _, comm, pipeline in iter_presets(basis, validate=validate):
-        if commutation is not None and comm != commutation:
-            continue
-        cand = pipeline.run(circuit)
-        n = rotation_count(cand)
-        if best is None or n < best[0]:
-            best = (n, cand)
-    if best is None:
-        # Reachable only when ``commutation`` filters out every preset
-        # (asserts would vanish under ``python -O``).
-        raise RuntimeError("preset grid produced no candidate lowering")
-    return best[1]
+    if optimization_level == "best":
+        return [
+            pm.run(circuit)
+            for _, comm, pm in iter_presets(basis, validate=validate)
+            if commutation is None or comm == commutation
+        ]
+    pm = preset_pipeline(
+        basis, int(optimization_level), bool(commutation), validate=validate
+    )
+    return [pm.run(circuit)]

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit
+from repro.bench_circuits.ft_algorithms import qft
+from repro.circuits import Circuit, rotation_count
+from repro.experiments.rq7_schedule import calibrate
 from repro.linalg import trace_distance
 from repro.pipeline import (
     CancelInversePairs,
@@ -14,13 +16,19 @@ from repro.pipeline import (
     FunctionPass,
     IsolateU3,
     MergeRuns,
+    OPTIMIZATION_LEVELS,
     PassManager,
     SnapTrivialRotations,
+    SynthesisCache,
     compile_batch,
     compile_circuit,
     iter_presets,
+    preset_lowerings,
     preset_pipeline,
+    rng_for_key,
+    synthesize_lowered,
 )
+from repro.target import Target, fix_gate_directions, route_circuit
 from repro.transpiler import (
     cancel_inverse_pairs,
     merge_1q_runs,
@@ -145,6 +153,13 @@ class TestCompileCircuit:
     def test_rejects_unknown_workflow(self):
         with pytest.raises(ValueError):
             compile_circuit(Circuit(1), workflow="nope")
+        # qft(2) lowers to trivial rotations only, so nothing past the
+        # argument checks would notice a bad eps or level.
+        for bad in ({"eps": 0.0}, {"eps": -0.1}, {"eps": float("nan")},
+                    {"optimization_level": "fast"},
+                    {"optimization_level": 5}):
+            with pytest.raises(ValueError, match="eps|optimization_level"):
+                compile_circuit(qft(2), workflow="gridsynth", **bad)
 
     def test_gridsynth_end_to_end(self):
         c = _random_circuit(21, n=2, depth=12)
@@ -158,17 +173,31 @@ class TestCompileCircuit:
             for g in res.circuit.gates
         )
 
-    def test_fixed_level_uses_preset(self):
-        c = _random_circuit(22, n=2, depth=10)
-        lowered = preset_pipeline("rz", 1, False).run(c)
-        via_level = compile_circuit(
-            c, workflow="gridsynth", eps=0.05, optimization_level=1,
-            commutation=False,
+    @pytest.mark.parametrize("level", [1, "best"])
+    @pytest.mark.parametrize("target", [None, "calibrated_line"])
+    def test_fixed_level_uses_preset(self, level, target):
+        # objective='count' keeps the first fewest-rotations lowering of
+        # the (routed) circuit and synthesizes exactly that one.
+        c = _random_circuit(22, n=3, depth=10)
+        work, routing = c, None
+        if target is not None:
+            target = calibrate(Target.line(3))
+            routing = route_circuit(c, target)
+            work, _ = fix_gate_directions(routing.circuit, target)
+        lowered = min(
+            preset_lowerings(work, "rz", level), key=rotation_count
         )
-        via_pre = compile_circuit(
-            lowered, workflow="gridsynth", eps=0.05, pre_transpiled=True,
+        want = synthesize_lowered(
+            lowered, "rz", 0.05, SynthesisCache(),
+            rng_for=lambda k: rng_for_key(0, k),
         )
-        assert via_level.circuit.gates == via_pre.circuit.gates
+        got = compile_circuit(
+            c, workflow="gridsynth", eps=0.05, optimization_level=level,
+            target=target,
+        )
+        assert got.circuit.gates == want.circuit.gates
+        if routing is not None:
+            assert got.routing.permutation == routing.permutation
 
     def test_batch_matches_rotation_structure(self):
         circs = [_random_circuit(s, n=2, depth=8) for s in range(3)]
@@ -180,3 +209,51 @@ class TestCompileCircuit:
         ]
         for got, want in zip(batch, singles):
             assert got.circuit.gates == want.circuit.gates
+
+
+class TestSynthesisCalls:
+    """How often each objective synthesizes: count ranks before, the
+    others after synthesis."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.pipeline.batch as batch
+
+        seen = []
+        real = batch.synthesize_lowered
+
+        def counting(*args, **kwargs):
+            seen.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "synthesize_lowered", counting)
+        return seen
+
+    @pytest.mark.parametrize("target", [None, "calibrated_line"])
+    def test_count_synthesizes_once(self, calls, target):
+        if target is not None:
+            target = calibrate(Target.line(3))
+        compile_circuit(
+            _random_circuit(23, n=3, depth=12), workflow="gridsynth",
+            eps=0.05, target=target,
+        )
+        assert len(calls) == 1
+
+    def test_depth_synthesizes_every_preset(self, calls):
+        compile_circuit(
+            _random_circuit(23, n=3, depth=12), workflow="gridsynth",
+            eps=0.05, objective="depth",
+        )
+        assert len(calls) == len(OPTIMIZATION_LEVELS) * 2 == 10
+
+    def test_esp_synthesizes_every_variant(self, calls):
+        from repro.pipeline.batch import _routing_variants
+
+        target = calibrate(Target.line(3))
+        compile_circuit(
+            _random_circuit(23, n=3, depth=12), workflow="gridsynth",
+            eps=0.05, target=target, objective="esp",
+        )
+        variants = _routing_variants(target, "dense", "esp")
+        assert len(variants) == 3
+        assert len(calls) == len(variants) * 10
