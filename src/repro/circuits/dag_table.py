@@ -16,9 +16,9 @@ Round-trips are exact in both directions:
   linearization breaks ties on id).
 * ``DAGTable.from_dag(dag)`` preserves node ids, wire links, and the id
   counter, so ``to_dag()`` / ``write_back(dag)`` reconstruct an
-  equivalent :class:`CircuitDAG` — the bridge the engine-dispatching
-  wrappers in :mod:`repro.optimizers.dag_passes` use to run columnar
-  kernels against caller-owned DAGs.
+  equivalent :class:`CircuitDAG` — the bridge the wrappers in
+  :mod:`repro.optimizers.dag_passes` use to run columnar kernels
+  against caller-owned DAGs.
 
 Beyond the DAG's columns the table maintains a ``pos`` float column: a
 wire-monotone timestamp (original gates get 0..n-1; substituted runs get
@@ -194,9 +194,8 @@ class DAGTable:
     def _check_gate(gate: Gate) -> None:
         if gate.name not in OPCODE:
             raise ValueError(
-                f"gate {gate.name!r} is outside the fixed IR vocabulary; "
-                "the columnar engine only handles interned opcodes "
-                "(use the reference DAG passes for exotic gates)"
+                f"gate {gate.name!r} is outside the fixed IR vocabulary "
+                f"{GATE_NAMES}"
             )
         if len(gate.qubits) not in (1, 2):
             raise ValueError(

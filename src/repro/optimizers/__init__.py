@@ -4,11 +4,10 @@ The list-based :func:`fold_phases` remains as the paper's original
 PyZX stand-in; the DAG passes of :mod:`repro.optimizers.dag_passes`
 (:func:`optimize_circuit` and friends) are the stronger
 commutation-aware optimizer built on :class:`repro.circuits.CircuitDAG`.
-By default they run on the columnar engine — the vectorized kernels of
-:mod:`repro.optimizers.columnar` over the struct-of-arrays
-:class:`repro.circuits.DAGTable` — with the original per-node loops
-retained as byte-identical ``*_reference`` implementations
-(:func:`set_dag_engine` / ``REPRO_DAG_ENGINE`` switch engines).
+They run the vectorized kernels of :mod:`repro.optimizers.columnar`
+over the struct-of-arrays :class:`repro.circuits.DAGTable`; the
+original per-node loops are kept as byte-identical ``*_reference``
+specifications for tests and the passes bench.
 """
 
 from repro.optimizers.columnar import (
@@ -24,7 +23,6 @@ from repro.optimizers.dag_passes import (
     cancel_inverses_reference,
     collect_two_qubit_blocks,
     collect_two_qubit_blocks_reference,
-    dag_engine,
     fold_phases_dag,
     fold_phases_dag_reference,
     merge_rotations,
@@ -32,7 +30,6 @@ from repro.optimizers.dag_passes import (
     optimize_circuit,
     optimize_dag,
     optimize_dag_reference,
-    set_dag_engine,
 )
 from repro.optimizers.kak import KAKDecomposition, kak_decompose
 from repro.optimizers.phase_folding import fold_phases
@@ -47,7 +44,6 @@ __all__ = [
     "collect_two_qubit_blocks",
     "collect_two_qubit_blocks_reference",
     "collect_two_qubit_blocks_table",
-    "dag_engine",
     "fold_phases",
     "fold_phases_dag",
     "fold_phases_dag_reference",
@@ -62,5 +58,4 @@ __all__ = [
     "optimize_table",
     "partition_two_qubit_blocks",
     "resynthesize",
-    "set_dag_engine",
 ]

@@ -21,25 +21,18 @@ many gates on independent wires sit between them in the flat list.
 
 Every pass preserves the circuit unitary up to global phase.
 
-Each public pass dispatches between two engines producing
-**byte-identical** output (same removed gates, same fused params, same
-minted ids):
-
-* ``"columnar"`` (default) — the vectorized kernels of
-  :mod:`repro.optimizers.columnar` over a :class:`DAGTable` imported
-  from the caller's DAG and written back after the rewrite.
-* ``"reference"`` — the original per-node loops, retained as the
-  readable specification under ``*_reference`` names.
-
-Select with :func:`set_dag_engine` or the ``REPRO_DAG_ENGINE``
-environment variable.  Circuits containing gates outside the fixed
-16-opcode IR vocabulary fall back to the reference path automatically.
+Each public pass imports the caller's DAG into a columnar
+:class:`DAGTable`, runs the vectorized kernel of
+:mod:`repro.optimizers.columnar` and writes the rewrite back.  The
+original per-node loops are kept under ``*_reference`` names as the
+readable specification: the kernels are tested byte-identical to them
+(same removed gates, same fused params, same minted ids), and the
+passes bench times the kernels against them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 
 from repro.circuits.circuit import ROTATION_GATES, Circuit, Gate
@@ -87,42 +80,6 @@ def _is_inverse_pair(a: Gate, b: Gate) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# engine selection
-# ---------------------------------------------------------------------------
-
-_ENGINES = ("columnar", "reference")
-_engine = os.environ.get("REPRO_DAG_ENGINE", "columnar")
-if _engine not in _ENGINES:
-    _engine = "columnar"
-
-
-def dag_engine() -> str:
-    """The active pass engine: ``"columnar"`` or ``"reference"``."""
-    return _engine
-
-
-def set_dag_engine(name: str) -> str:
-    """Select the pass engine; returns the previous selection."""
-    global _engine
-    if name not in _ENGINES:
-        raise ValueError(
-            f"unknown DAG engine {name!r}; expected one of {_ENGINES}"
-        )
-    previous = _engine
-    _engine = name
-    return previous
-
-
-def _import_table(dag: CircuitDAG) -> DAGTable | None:
-    """Columnar import of ``dag``, or None when it must stay on the
-    reference path (exotic gates outside the interned vocabulary)."""
-    try:
-        return DAGTable.from_dag(dag)
-    except ValueError:
-        return None
-
-
 def cancel_inverses(dag: CircuitDAG) -> int:
     """Remove wire-adjacent inverse pairs (and bare identity gates).
 
@@ -132,13 +89,10 @@ def cancel_inverses(dag: CircuitDAG) -> int:
     like ``H X X H`` collapse fully in one call.  Returns the number of
     gates removed.
     """
-    if _engine == "columnar":
-        table = _import_table(dag)
-        if table is not None:
-            removed, _ = cancel_inverses_table(table)
-            table.write_back(dag)
-            return removed
-    return cancel_inverses_reference(dag)
+    table = DAGTable.from_dag(dag)
+    removed, _ = cancel_inverses_table(table)
+    table.write_back(dag)
+    return removed
 
 
 def cancel_inverses_reference(dag: CircuitDAG) -> int:
@@ -189,13 +143,10 @@ def merge_rotations(dag: CircuitDAG) -> int:
     pair that is the identity (up to global phase) disappears entirely.
     Returns the number of gates eliminated.
     """
-    if _engine == "columnar":
-        table = _import_table(dag)
-        if table is not None:
-            removed, _ = merge_rotations_table(table)
-            table.write_back(dag)
-            return removed
-    return merge_rotations_reference(dag)
+    table = DAGTable.from_dag(dag)
+    removed, _ = merge_rotations_table(table)
+    table.write_back(dag)
+    return removed
 
 
 def merge_rotations_reference(dag: CircuitDAG) -> int:
@@ -242,20 +193,17 @@ def fold_phases_dag(dag: CircuitDAG) -> int:
     own wires — phases keep folding across independent wires.  Returns
     the number of gates eliminated (net of re-emission).
 
-    The columnar engine tracks parities as arbitrary-width python
-    integer bitmasks over flat column snapshots
+    The kernel tracks parities as arbitrary-width python integer
+    bitmasks over flat column snapshots
     (:func:`~repro.optimizers.columnar.fold_phases_table`);
     :func:`fold_phases_dag_reference` is the set-based specification.
     Both fold exactly the same phases and mint identical ids.
     """
-    if _engine == "columnar":
-        table = _import_table(dag)
-        if table is not None:
-            before = len(dag)
-            fold_phases_table(table)
-            table.write_back(dag)
-            return before - len(dag)
-    return fold_phases_dag_reference(dag)
+    before = len(dag)
+    table = DAGTable.from_dag(dag)
+    fold_phases_table(table)
+    table.write_back(dag)
+    return before - len(dag)
 
 
 def fold_phases_dag_reference(dag: CircuitDAG) -> int:
@@ -325,11 +273,7 @@ def collect_two_qubit_blocks(
     partitioned by the greedy scan of
     :func:`repro.optimizers.resynth.partition_two_qubit_blocks`.
     """
-    if _engine == "columnar":
-        table = _import_table(dag)
-        if table is not None:
-            return collect_two_qubit_blocks_table(table)
-    return collect_two_qubit_blocks_reference(dag)
+    return collect_two_qubit_blocks_table(DAGTable.from_dag(dag))
 
 
 def collect_two_qubit_blocks_reference(
@@ -387,18 +331,15 @@ def optimize_dag(dag: CircuitDAG, max_rounds: int = 8) -> OptimizeStats:
     reached; hitting the round cap first warns once via
     :class:`UserWarning`.
 
-    On the columnar engine the DAG is imported once and the dirty-wire
-    driver (:func:`~repro.optimizers.columnar.optimize_table`) iterates
-    on flat columns, so fixpoint cost is proportional to work done, not
-    DAG size.
+    The DAG is imported once and the dirty-wire driver
+    (:func:`~repro.optimizers.columnar.optimize_table`) iterates on flat
+    columns, so fixpoint cost is proportional to work done, not DAG
+    size.
     """
-    if _engine == "columnar":
-        table = _import_table(dag)
-        if table is not None:
-            stats = optimize_table(table, max_rounds=max_rounds)
-            table.write_back(dag)
-            return stats
-    return optimize_dag_reference(dag, max_rounds=max_rounds)
+    table = DAGTable.from_dag(dag)
+    stats = optimize_table(table, max_rounds=max_rounds)
+    table.write_back(dag)
+    return stats
 
 
 def optimize_dag_reference(
@@ -444,18 +385,9 @@ def optimize_circuit(circuit: Circuit, max_rounds: int = 8) -> Circuit:
     :func:`repro.optimizers.phase_folding.fold_phases`: the same parity
     merges plus the cancellations they unlock.
 
-    The columnar engine skips the node-object DAG entirely
-    (``Circuit`` → :class:`DAGTable` → ``Circuit``); circuits with
-    exotic gates take the reference path.
+    The node-object DAG is skipped entirely (``Circuit`` →
+    :class:`DAGTable` → ``Circuit``).
     """
-    if _engine == "columnar":
-        try:
-            table = DAGTable.from_circuit(circuit)
-        except ValueError:
-            table = None
-        if table is not None:
-            optimize_table(table, max_rounds=max_rounds)
-            return table.to_circuit()
-    dag = CircuitDAG.from_circuit(circuit)
-    optimize_dag_reference(dag, max_rounds=max_rounds)
-    return dag.to_circuit()
+    table = DAGTable.from_circuit(circuit)
+    optimize_table(table, max_rounds=max_rounds)
+    return table.to_circuit()

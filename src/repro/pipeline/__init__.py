@@ -6,16 +6,16 @@ compiler service:
 * :class:`Pass` / :class:`PassManager` — the transpiler rewrites as
   composable objects with per-pass metrics, including the DAG passes
   (:class:`CancelInverses`, :class:`MergeRotations`,
-  :class:`FoldPhases`, :class:`DagOptimize`) running on
-  :class:`repro.circuits.CircuitDAG` and the connectivity stage
+  :class:`FoldPhases`, :class:`DagOptimize`) running on the columnar
+  :class:`repro.circuits.DAGTable` and the connectivity stage
   (:class:`SetLayout`, :class:`RouteToTarget`, :class:`FixDirections`)
   targeting a :class:`repro.target.Target`,
 * :func:`preset_pipeline` — the paper's optimization levels 0-3 plus
   the DAG-pass level 4, for both target IRs as ready-made pipelines;
   :func:`preset_lowerings` runs the presets an optimization level
   selects (the whole grid for ``'best'``),
-* :class:`SynthesisCache` — a thread-safe LRU of synthesized rotations
-  with JSON persistence; attach a :class:`DiskSynthesisStore`
+* :class:`SynthesisCache` — a thread-safe LRU of synthesized rotations;
+  attach a :class:`DiskSynthesisStore`
   (:mod:`repro.pipeline.store`) and it becomes the L1 of a two-tier,
   cross-process hierarchy with epsilon-band reuse,
 * :func:`compile_circuit` / :func:`compile_batch` — the end-to-end

@@ -20,6 +20,7 @@ process-pool batch all produce byte-identical circuits.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -411,8 +412,12 @@ def compile_circuit(
             "objective='esp' needs a target (its calibration defines the "
             "success probability being maximized)"
         )
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if eps_budget is not None and not 0 < eps_budget < math.inf:
+        raise ValueError(
+            f"eps_budget must be positive and finite, got {eps_budget!r}"
+        )
     if optimization_level != "best" and (
         optimization_level not in OPTIMIZATION_LEVELS
     ):

@@ -18,6 +18,7 @@ slices sum to the requested budget, so
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 from repro.circuits.circuit import Circuit, Gate
@@ -94,8 +95,10 @@ def allocate_eps_budget(
     ``[EPS_FLOOR, EPS_CEIL]`` (clipping only ever lowers the total, so
     the additive union bound still holds).
     """
-    if budget <= 0.0:
-        raise ValueError("accuracy budget must be positive")
+    if not 0.0 < budget < math.inf:
+        raise ValueError(
+            f"accuracy budget must be positive and finite, got {budget!r}"
+        )
     crits = rotation_criticalities(lowered, target, durations)
     if not crits:
         return []

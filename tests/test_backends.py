@@ -212,7 +212,9 @@ class TestCircuitMPS:
                 a, b = rng.choice(n, 2, replace=False)
                 c.cx(int(a), int(b))
         routed = CircuitMPS(n, max_bond=128).run(c)
-        legacy = CircuitMPS(n, max_bond=128).run(c, route=False)
+        legacy = CircuitMPS(n, max_bond=128)
+        for gate in c.gates:
+            legacy.apply_gate(gate)
         psi = c.statevector()
         f_routed = abs(np.vdot(psi, routed.to_statevector())) ** 2
         f_legacy = abs(np.vdot(psi, legacy.to_statevector())) ** 2

@@ -1,6 +1,5 @@
 """End-to-end CLI tests: ``main(argv)`` against small QASM fixtures."""
 
-import json
 import re
 
 import pytest
@@ -70,38 +69,6 @@ class TestCompile:
         assert rc == 0
         assert int(_field(out, "rotations synthesized")) >= 1
         assert int(_field(out, "Clifford count")) >= 0
-
-    def test_compile_survives_corrupt_cache_file(self, qasm_file, tmp_path,
-                                                 capsys):
-        for blob in ("{garbage", '{"version": 1, "entries": '
-                     '[{"key": ["rz", "g", 0.4, 0.05], "gates": 5, '
-                     '"error": null}]}'):
-            cache_path = tmp_path / "bad.json"
-            cache_path.write_text(blob)
-            rc = main([
-                "compile", str(qasm_file), "--workflow", "gridsynth",
-                "--eps", "0.05", "--cache-file", str(cache_path),
-            ])
-            captured = capsys.readouterr()
-            assert rc == 0
-            assert "ignoring unreadable cache" in captured.err
-            # The bad file is replaced by a valid cache afterwards.
-            assert json.loads(cache_path.read_text())["entries"]
-
-    def test_compile_cache_file_round_trip(self, qasm_file, tmp_path,
-                                           capsys):
-        cache_path = tmp_path / "cache.json"
-        argv = [
-            "compile", str(qasm_file), "--workflow", "gridsynth",
-            "--eps", "0.05", "--cache-file", str(cache_path),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        payload = json.loads(cache_path.read_text())
-        assert payload["entries"]
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert _field(first, "T count") == _field(second, "T count")
 
 
 class TestVerifyCommand:
@@ -226,12 +193,12 @@ class TestCompileBatch:
 
     def test_batch_parallel_with_cache(self, tmp_path, capsys):
         paths = self._write_fixtures(tmp_path, 3)
-        cache_path = tmp_path / "cache.json"
+        store_dir = tmp_path / "store"
         out_dir = tmp_path / "out"
         rc = main([
             "compile-batch", *paths, "--workflow", "gridsynth",
             "--eps", "0.05", "--jobs", "2",
-            "--cache-file", str(cache_path), "--output-dir", str(out_dir),
+            "--cache-dir", str(store_dir), "--output-dir", str(out_dir),
         ])
         out = capsys.readouterr().out
         assert rc == 0
@@ -243,18 +210,18 @@ class TestCompileBatch:
         assert len(compiled) == 3
         for p in compiled:
             from_qasm(p.read_text())  # parses cleanly
-        assert cache_path.exists()
+        assert list((store_dir / "segments").glob("seg-*.json"))
 
-        # Second run is fully warm: zero misses reported.
+        # Second run is fully warm: the store serves every L1 miss.
         rc = main([
             "compile-batch", *paths, "--workflow", "gridsynth",
-            "--eps", "0.05", "--cache-file", str(cache_path),
+            "--eps", "0.05", "--cache-dir", str(store_dir),
         ])
         out2 = capsys.readouterr().out
         assert rc == 0
-        hits, misses = _field(out2, "cache hits/misses").split("/")
-        assert int(misses) == 0
-        assert int(hits) > 0
+        line = _field(out2, "disk store")
+        assert line.endswith(" 0 misses")
+        assert int(line.split(" exact")[0]) > 0
 
     def test_batch_process_workers_with_store(self, tmp_path, capsys):
         paths = self._write_fixtures(tmp_path, 3)

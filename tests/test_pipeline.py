@@ -156,6 +156,8 @@ class TestCompileCircuit:
         # qft(2) lowers to trivial rotations only, so nothing past the
         # argument checks would notice a bad eps or level.
         for bad in ({"eps": 0.0}, {"eps": -0.1}, {"eps": float("nan")},
+                    {"eps": float("inf")}, {"eps_budget": float("nan")},
+                    {"eps_budget": float("inf")},
                     {"optimization_level": "fast"},
                     {"optimization_level": 5}):
             with pytest.raises(ValueError, match="eps|optimization_level"):

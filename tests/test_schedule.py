@@ -337,8 +337,9 @@ class TestEpsBudget:
 
     def test_empty_and_invalid(self):
         assert allocate_eps_budget(ghz(2), 0.01) == []
-        with pytest.raises(ValueError, match="budget"):
-            allocate_eps_budget(ghz(2), 0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="budget"):
+                allocate_eps_budget(ghz(2), bad)
         assert flat_eps_schedule(ghz(2), 0.01) == []
 
     def test_synthesize_lowered_consumes_schedule(self):
