@@ -24,7 +24,7 @@ from scipy.optimize import nnls
 from repro.enumeration import UnitaryTable, get_table
 from repro.sim.fidelity import choi_of_sequence
 from repro.synthesis.sequences import GateSequence
-from repro.synthesis.trasyn import _amp_to_error
+from repro.synthesis.trasyn import _amp_to_error, budget_ranges, trace_layout
 from repro.tensornet import TraceMPS
 
 _PAULI = [
@@ -65,19 +65,20 @@ def top_candidates(
     """Diverse low-error candidates from one error-aware sampling pass."""
     if rng is None:
         rng = np.random.default_rng()
-    max_hi = max(t_budgets)
+    ranges = budget_ranges(t_budgets)
     if table is None:
-        table = get_table(max_hi)
-    slot_indices = [table.indices_for_t_range(0, b) for b in t_budgets]
+        table = get_table(max(hi for _, hi in ranges))
+    slot_indices = [table.indices_for_t_range(lo, hi) for lo, hi in ranges]
     seen: dict[tuple, complex] = {}
-    if len(t_budgets) == 1:
+    if len(ranges) == 1:
         mats = table.mats[slot_indices[0]]
         amps = np.einsum("nij,ji->n", mats, target.conj().T)
         order = np.argsort(-np.abs(amps))[: n_candidates * 4]
         for idx in order:
             seen[(int(slot_indices[0][idx]),)] = complex(amps[idx])
     else:
-        mps = TraceMPS(target, [table.mats[i] for i in slot_indices])
+        layout = trace_layout(table, ranges)
+        mps = TraceMPS(target, layout.site_matrices, layout)
         choices, amps = mps.sample(n_samples, rng)
         for c, a in zip(choices, amps):
             key = tuple(int(slot_indices[i][c[i]]) for i in range(len(c)))

@@ -20,37 +20,102 @@ attempts, optionally stopping at an error threshold (Equation (4)).
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.enumeration import UnitaryTable, get_table
+from repro.enumeration import vectorized as vec
 from repro.gates.exact import ExactUnitary
 from repro.synthesis.meet import QuaternionIndex, refine_pairs
 from repro.synthesis.sequences import GateSequence, t_count_of
 from repro.tensornet import TraceMPS
+from repro.tensornet.mps import TraceLayout
 
 DEFAULT_TENSOR_BUDGET = 6
 
-# QuaternionIndex instances are deterministic per table slice; memoize
-# per live table.  Keying by the table object (weakly) rather than
-# ``id(table)`` matters: id values are reused after garbage collection,
-# so an id-keyed cache can silently serve a stale index built from a
-# different, freed table.  The WeakKeyDictionary drops a table's slice
-# indexes the moment the table itself is collected.
+# QuaternionIndex and TraceLayout instances are deterministic per table
+# slice; memoize per live table.  Keying by the table object (weakly)
+# rather than ``id(table)`` matters: id values are reused after garbage
+# collection, so an id-keyed cache can silently serve a stale entry built
+# from a different, freed table.  The WeakKeyDictionaries drop a table's
+# entries the moment the table itself is collected.
 _INDEX_CACHE: "weakref.WeakKeyDictionary[UnitaryTable, dict[tuple[int, int], QuaternionIndex]]" = (
     weakref.WeakKeyDictionary()
 )
+_LAYOUT_CACHE: "weakref.WeakKeyDictionary[UnitaryTable, dict[tuple[tuple[int, int], ...], TraceLayout]]" = (
+    weakref.WeakKeyDictionary()
+)
+# Serializes cold builds, as ``_TABLE_LOCK`` does for tables: concurrent
+# compile_batch threads must not each build the same index or layout.
+_BUILD_LOCK = threading.Lock()
+
+
+def _cached(cache, table: UnitaryTable, key, build):
+    """``cache[table][key]``, calling ``build()`` at most once per key."""
+    per_table = cache.get(table)
+    if per_table is not None and key in per_table:
+        return per_table[key]
+    with _BUILD_LOCK:
+        per_table = cache.setdefault(table, {})
+        if key not in per_table:
+            per_table[key] = build()
+        return per_table[key]
 
 
 def _slot_index(table: UnitaryTable, lo: int, hi: int) -> QuaternionIndex:
-    per_table = _INDEX_CACHE.setdefault(table, {})
-    key = (lo, hi)
-    if key not in per_table:
-        idx = table.indices_for_t_range(lo, hi)
-        per_table[key] = QuaternionIndex(table.mats[idx])
-    return per_table[key]
+    return _cached(
+        _INDEX_CACHE, table, (lo, hi),
+        lambda: QuaternionIndex(table.mats[table.indices_for_t_range(lo, hi)]),
+    )
+
+
+def trace_layout(
+    table: UnitaryTable, ranges: list[tuple[int, int]]
+) -> TraceLayout:
+    """The shared :class:`TraceLayout` of one table slice per T range.
+
+    Built on first use and kept for the table's lifetime, so every
+    target synthesized on the same rung reuses the canonical sites and
+    prefix-Gram arrays.
+    """
+    key = tuple(ranges)
+    return _cached(
+        _LAYOUT_CACHE, table, key,
+        lambda: TraceLayout(
+            [table.mats[table.indices_for_t_range(lo, hi)] for lo, hi in key]
+        ),
+    )
+
+
+def budget_ranges(t_budgets) -> list[tuple[int, int]]:
+    """Per-slot ``(lo, hi)`` T-count ranges of a :func:`synthesize` budget list.
+
+    An int ``m`` means ``(0, m)``.  Raises ``ValueError`` naming the
+    offending entry for an empty list, a malformed entry, or a range
+    that is negative or inverted (it would select no table entries).
+    """
+    ranges = []
+    for i, b in enumerate(t_budgets):
+        if isinstance(b, (int, np.integer)):
+            lo, hi = 0, int(b)
+        elif isinstance(b, (tuple, list)) and len(b) == 2:
+            lo, hi = int(b[0]), int(b[1])
+        else:
+            raise ValueError(
+                f"t_budgets[{i}] = {b!r}: expected an int or a (lo, hi) pair"
+            )
+        if not 0 <= lo <= hi:
+            raise ValueError(
+                f"t_budgets[{i}] = {b!r}: T-count range [{lo}, {hi}] is "
+                "empty; need 0 <= lo <= hi"
+            )
+        ranges.append((lo, hi))
+    if not ranges:
+        raise ValueError("t_budgets is empty; give at least one slot budget")
+    return ranges
 
 
 def _amp_to_error(amplitude: complex) -> float:
@@ -96,8 +161,7 @@ def synthesize(
     """
     if rng is None:
         rng = np.random.default_rng()
-    ranges = [(0, b) if isinstance(b, int) else (int(b[0]), int(b[1]))
-              for b in t_budgets]
+    ranges = budget_ranges(t_budgets)
     max_hi = max(hi for _, hi in ranges)
     if table is None:
         table = get_table(max_hi)
@@ -113,8 +177,9 @@ def synthesize(
         best_amp = amp
         samples_drawn = 0
     else:
-        mats = [table.mats[idx] for idx in slot_indices]
-        mps = TraceMPS(target, mats)
+        layout = trace_layout(table, ranges)
+        mats = layout.site_matrices
+        mps = TraceMPS(target, mats, layout)
         choices, amps = mps.sample(n_samples, rng)
         best = int(np.argmax(np.abs(amps)))
         best_choice, best_amp = choices[best], amps[best]
@@ -232,39 +297,66 @@ def simplify_sequence(
     changed = True
     while changed:
         changed = False
-        n = len(gates)
         i = 0
-        while i < n:
-            window = ExactUnitary.from_gate(gates[i])
-            window_t = 1 if gates[i] in ("T", "Tdg") else 0
-            best_rewrite = None
-            j = i + 1
-            end = i + 1
-            while j < n:
-                g = gates[j]
-                window = window @ ExactUnitary.from_gate(g)
-                window_t += 1 if g in ("T", "Tdg") else 0
-                j += 1
-                if window_t > max_window_t:
-                    break
-                if j - i < 2:
-                    continue
-                idx = table.lookup(window)
-                if idx is None:
-                    continue
-                old_cost = _segment_cost(gates[i:j])
-                new_seq = table.sequence(idx)
-                new_cost = _segment_cost(new_seq)
-                if new_cost < old_cost:
-                    best_rewrite = list(new_seq)
-                    end = j
-            if best_rewrite is not None:
-                gates[i:end] = best_rewrite
+        while i < len(gates):
+            rewrite = _window_rewrite(gates, i, table, max_window_t)
+            if rewrite is not None:
+                end, new_seq = rewrite
+                gates[i:end] = new_seq
                 changed = True
-                n = len(gates)
             else:
                 i += 1
     return [g for g in gates if g != "I"]
+
+
+# Unreduced window products gain one sqrt(2) denominator per H; reducing
+# past this exponent keeps every coefficient (at most sqrt(2)^k) far
+# inside int64 for the batched key computation.
+_REDUCE_ABOVE_K = 40
+
+
+def _window_rewrite(
+    gates: list[str], i: int, table: UnitaryTable, max_window_t: int
+) -> tuple[int, list[str]] | None:
+    """The rewrite of the windows starting at ``gates[i]``, if any.
+
+    Every window ``gates[i:end]`` of two or more gates and at most
+    ``max_window_t`` T gates is keyed in one batch; the window with the
+    largest ``end`` whose table sequence is cheaper wins.
+    """
+    window = ExactUnitary.from_gate(gates[i])
+    t = cliff = 0
+    products: list[ExactUnitary] = []
+    costs: list[tuple[int, int, int]] = []
+    for j, g in enumerate(gates[i:], start=i):
+        if j > i:
+            window = window @ ExactUnitary.from_gate(g)
+            if window.k > _REDUCE_ABOVE_K:
+                window = window.reduce()
+        t += g in ("T", "Tdg")
+        cliff += g in ("H", "S", "Sdg")
+        if t > max_window_t:
+            break
+        if j > i:
+            products.append(window)
+            costs.append((t, cliff, j + 1 - i))
+    if not products:
+        return None
+    coeffs = np.array(
+        [[(e.a, e.b, e.c, e.d) for e in w.entries()] for w in products],
+        dtype=np.int64,
+    ).reshape(-1, 2, 2, 4)
+    karr = np.array([w.k for w in products], dtype=np.int64)
+    keys = vec.canonical_keys(*vec.reduce_batch(coeffs, karr))
+    rewrite = None
+    for key, old_cost in zip(keys, costs):
+        idx = table.key_to_index.get(key)
+        if idx is None:
+            continue
+        new_seq = table.sequence(idx)
+        if _segment_cost(new_seq) < old_cost:
+            rewrite = (i + old_cost[2], list(new_seq))
+    return rewrite
 
 
 def _segment_cost(gates) -> tuple[int, int, int]:
@@ -337,14 +429,21 @@ def trasyn(
     if rng is None:
         rng = np.random.default_rng()
     if t_budgets is not None:
+        budget_ranges(t_budgets)
+        if not 1 <= min_tensors <= len(t_budgets):
+            raise ValueError(
+                f"min_tensors = {min_tensors}: need 1 <= min_tensors <= "
+                f"len(t_budgets) = {len(t_budgets)}"
+            )
         schedule = [
             list(t_budgets[:i]) for i in range(min_tensors, len(t_budgets) + 1)
         ]
     elif schedule is None:
         schedule = schedule_for_threshold(error_threshold)
-    if table is None:
-        max_budget = max(_hi(b) for budgets in schedule for b in budgets)
-        table = get_table(max_budget)
+    if table is None and schedule:
+        table = get_table(max(
+            hi for budgets in schedule for _, hi in budget_ranges(budgets)
+        ))
     best: GateSequence | None = None
     for budgets in schedule:
         for _ in range(attempts):
@@ -362,9 +461,6 @@ def trasyn(
         raise RuntimeError("trasyn schedule produced no candidate sequence")
     return best
 
-
-def _hi(budget) -> int:
-    return budget if isinstance(budget, int) else int(budget[1])
 
 
 def _quality(seq: GateSequence) -> tuple[float, int, int]:

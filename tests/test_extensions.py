@@ -166,6 +166,25 @@ class TestMixing:
         assert errs == sorted(errs)
         assert len({c.gates for c in cands}) == len(cands)
 
+    def test_multi_slot_candidates_match_dense_sampler(self, table, monkeypatch):
+        from oracles.trasyn_reference import dense_sample
+        from repro.tensornet import TraceMPS
+
+        u = haar_random_u2(np.random.default_rng(4))
+
+        def run():
+            return top_candidates(u, [4, 3], n_candidates=6, n_samples=300,
+                                  table=table, rng=np.random.default_rng(1))
+
+        got = run()
+        monkeypatch.setattr(
+            TraceMPS, "sample",
+            lambda self, n, rng, chunk_size=1024: dense_sample(
+                self, n, rng, chunk_size),
+        )
+        assert run() == got
+        assert len(got) == 6
+
     def test_mixed_beats_coherent(self, table):
         rng = np.random.default_rng(3)
         improvements = []

@@ -1,8 +1,14 @@
 """Tests for the trasyn synthesizer (steps 1-3 and Algorithm 1)."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles.trasyn_reference import simplify_sequence_reference
 from repro.enumeration import get_table
 from repro.gates.exact import ExactUnitary
 from repro.linalg import GATES, haar_random_u2, rz, trace_distance
@@ -103,6 +109,68 @@ class TestSimplify:
             assert t_after <= t_before
 
 
+class TestSimplifyMatchesOracle:
+    """Batched window keys rewrite exactly as one lookup per window."""
+
+    @pytest.mark.parametrize("budget", [4, 6])
+    @given(words=st.lists(
+        st.sampled_from(["H", "S", "Sdg", "T", "Tdg", "X", "Y", "Z"]),
+        max_size=40,
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_random_words(self, budget, words):
+        table = get_table(budget)
+        assert simplify_sequence(words, table) == simplify_sequence_reference(
+            words, table
+        )
+
+    def test_long_clifford_runs_stay_exact(self, table6):
+        # 150 H gates give an unreduced window exponent whose
+        # coefficients (up to sqrt(2)^150) overflow int64 unless the
+        # window is reduced on the way.
+        words = ["H"] * 150 + ["T", "H", "T"] + ["S", "H"] * 20
+        assert simplify_sequence(words, table6) == simplify_sequence_reference(
+            words, table6
+        )
+
+
+class TestBudgetValidation:
+    """Bad budgets raise a ValueError naming the entry, before any work."""
+
+    def test_synthesize_empty(self, table6):
+        with pytest.raises(ValueError, match="t_budgets is empty"):
+            synthesize(np.eye(2), [], table=table6)
+
+    def test_synthesize_inverted_range(self, table6):
+        with pytest.raises(ValueError, match=r"t_budgets\[0\] = \(5, 2\)"):
+            synthesize(np.eye(2), [(5, 2), 4], table=table6)
+
+    @pytest.mark.parametrize("bad", [-1, (2, -1), (1, 2, 3), "x"])
+    def test_synthesize_malformed_entry(self, table6, bad):
+        with pytest.raises(ValueError, match=r"t_budgets\[1\]"):
+            synthesize(np.eye(2), [3, bad], table=table6)
+
+    def test_trasyn_empty(self, table6):
+        with pytest.raises(ValueError, match="t_budgets is empty"):
+            trasyn(np.eye(2), t_budgets=[], table=table6)
+
+    @pytest.mark.parametrize("min_tensors", [0, 3])
+    def test_trasyn_min_tensors_out_of_range(self, table6, min_tensors):
+        with pytest.raises(ValueError, match=f"min_tensors = {min_tensors}"):
+            trasyn(np.eye(2), t_budgets=[4, 4], min_tensors=min_tensors,
+                   table=table6)
+
+    def test_top_candidates_empty(self, table6):
+        from repro.synthesis.mixing import top_candidates
+
+        with pytest.raises(ValueError, match="t_budgets is empty"):
+            top_candidates(np.eye(2), [], table=table6)
+
+    def test_trasyn_schedule_entry(self):
+        with pytest.raises(ValueError, match=r"t_budgets\[0\]"):
+            trasyn(np.eye(2), schedule=[[(3, 1)]])
+
+
 class TestAlgorithm1:
     def test_threshold_mode_meets_or_best_effort(self):
         rng = np.random.default_rng(8)
@@ -183,3 +251,61 @@ class TestIndexCacheLifetime:
 
         table = build_table(1)
         assert _slot_index(table, 0, 1) is _slot_index(table, 0, 1)
+
+
+class TestLayoutCache:
+    """One TraceLayout per (table, T ranges), built once under a lock."""
+
+    def test_same_rung_reuses_layout(self):
+        from repro.enumeration import build_table
+        from repro.synthesis.trasyn import trace_layout
+
+        table = build_table(2)
+        a = trace_layout(table, [(0, 2), (0, 1)])
+        assert trace_layout(table, [(0, 2), (0, 1)]) is a
+        assert trace_layout(table, [(0, 2), (0, 2)]) is not a
+        for m, (lo, hi) in zip(a.site_matrices, [(0, 2), (0, 1)]):
+            assert np.array_equal(m, table.mats[table.indices_for_t_range(lo, hi)])
+
+    def test_entries_die_with_their_table(self):
+        import gc
+
+        from repro.enumeration import build_table
+        from repro.synthesis.trasyn import _LAYOUT_CACHE, trace_layout
+
+        table = build_table(1)
+        trace_layout(table, [(0, 1), (0, 1)])
+        assert table in _LAYOUT_CACHE
+        before = len(_LAYOUT_CACHE)
+        del table
+        gc.collect()
+        assert len(_LAYOUT_CACHE) == before - 1
+
+    def test_concurrent_threads_build_once(self, monkeypatch):
+        import importlib
+
+        from repro.enumeration import build_table
+
+        trasyn_mod = importlib.import_module("repro.synthesis.trasyn")
+        built = []
+        original = trasyn_mod.TraceLayout
+
+        def slow_layout(mats):
+            built.append(1)
+            time.sleep(0.1)  # widen the race window
+            return original(mats)
+
+        monkeypatch.setattr(trasyn_mod, "TraceLayout", slow_layout)
+        table = build_table(2)
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(
+                trasyn_mod.trace_layout(table, [(0, 2), (0, 2)])))
+            for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(built) == 1
+        assert all(r is results[0] for r in results)

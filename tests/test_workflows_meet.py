@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles.trasyn_reference import refine_pairs_reference
 from repro.circuits import Circuit, rotation_count
 from repro.enumeration import get_table
 from repro.linalg import haar_random_u2, trace_distance
 from repro.synthesis.meet import QuaternionIndex, refine_pairs
+from repro.tensornet import TraceMPS
+from repro.tensornet.mps import TraceLayout
 from repro.experiments.workflows import (
     _SequenceCache,
     best_transpile,
@@ -60,6 +63,56 @@ class TestRefinePairs:
         for i, m in enumerate(mats):
             prod = prod @ m[choice[i]]
         assert complex(np.trace(prod)) == pytest.approx(amp, abs=1e-9)
+
+
+class TestRefinePairsMatchesOracle:
+    """Skipping unchanged environments never changes the result."""
+
+    @pytest.mark.parametrize("budgets", [(6, 6), (4, 3, 4), (3, 2, 2, 3)])
+    def test_identical_to_full_sweeps(self, table6, budgets):
+        mats = [table6.mats[table6.indices_for_t_range(0, b)] for b in budgets]
+        indexes = [QuaternionIndex(m) for m in mats]
+        layout = TraceLayout(mats)
+        for seed in range(4):
+            rng = np.random.default_rng([seed, len(budgets)])
+            target = haar_random_u2(rng)
+            # A random start leaves the query bound loose; the best of a
+            # sampling pass makes it tight, so the bound prunes.
+            choices, amps = TraceMPS(target, mats, layout).sample(200, rng)
+            for start in (np.array([rng.integers(len(m)) for m in mats]),
+                          choices[np.argmax(np.abs(amps))]):
+                got = refine_pairs(target, mats, start, indexes)
+                want = refine_pairs_reference(target, mats, start, indexes)
+                assert np.array_equal(got[0], want[0])
+                assert got[1] == want[1]
+
+    def test_bounded_query_keeps_leading_neighbours(self, table6):
+        mats = table6.mats[table6.indices_for_t_range(0, 6)]
+        index = QuaternionIndex(mats)
+        targets = np.stack([haar_random_u2(np.random.default_rng(s))
+                            for s in range(50)])
+        full = index.nearest(targets, k=4)
+        bounded = index.nearest(targets, k=4, max_distance=0.1)
+        found = bounded >= 0
+        assert found.any() and not found.all()
+        assert np.array_equal(bounded[found], full[found])
+
+    def test_two_slots_query_once(self, table6, monkeypatch):
+        idx = table6.indices_for_t_range(0, 6)
+        mats = [table6.mats[idx]] * 2
+        indexes = [QuaternionIndex(m) for m in mats]
+        calls = []
+        original = QuaternionIndex.nearest
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuaternionIndex, "nearest", counting)
+        target = haar_random_u2(np.random.default_rng(3))
+        _, amp = refine_pairs(target, mats, np.array([0, 0]), indexes)
+        assert abs(amp) > abs(np.trace(target.conj().T @ mats[0][0] @ mats[1][0]))
+        assert len(calls) == 1
 
 
 class TestWorkflowInternals:
